@@ -135,9 +135,9 @@ from .stream.scheduler import SCHEDULE_KINDS
 from .stream.sharded import EXECUTOR_KINDS
 from .services.faults import FaultConfig
 from .services.noise import NoiseConfig
-from .services.rubis.client import WorkloadStages
 from .services.rubis.deployment import RubisConfig
 from .topology.library import ScenarioConfig, get_scenario, scenario_names
+from .topology.workload import WorkloadStages
 
 #: Fault scenario names accepted by ``--fault``.
 FAULT_CHOICES = ["none", "ejb_delay", "database_lock", "ejb_network"]

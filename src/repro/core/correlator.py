@@ -21,7 +21,9 @@ the drop-in counterparts in :mod:`repro.stream`
 (:class:`~repro.stream.StreamingCorrelator`,
 :class:`~repro.stream.IncrementalEngine`,
 :class:`~repro.stream.ShardedCorrelator`).  With eviction disabled the
-streaming path produces byte-identical CAGs to this one.
+streaming path produces byte-identical CAGs to this one: both drain
+through :class:`CorrelationDriver`, the one rank -> process loop, and
+the sharded path runs this Correlator per shard.
 """
 
 from __future__ import annotations
@@ -96,15 +98,126 @@ class CorrelationResult:
         }
 
 
-class Correlator:
-    """Offline correlator over a set of per-node activity streams.
+class CorrelationDriver:
+    """The one rank -> process loop, shared by every correlation backend.
 
-    Entry points: :meth:`correlate` for a flat activity collection (any
-    order) and :meth:`correlate_streams` for per-node lists -- the shape
-    gathered log files naturally have.  Both return a
-    :class:`CorrelationResult`; the streaming counterpart
-    (:class:`repro.stream.StreamingCorrelator`) returns the same type, so
-    downstream analysis code never needs to know which path produced it.
+    The ranker picks candidates and the engine builds CAGs (Section 4);
+    the driver pumps candidates from one to the other until the ranker
+    has nothing deliverable, samples the live state for the memory
+    accounting, and assembles the :class:`CorrelationResult`.  The batch
+    :class:`Correlator` drains a batch :class:`Ranker` (ceiling +inf)
+    once; the streaming :class:`~repro.stream.IncrementalEngine` drains
+    its watermark-gated ranker after every ingested chunk.
+
+    Parameters
+    ----------
+    engine, ranker:
+        The engine and a ranker sharing its message map.
+    sample_interval:
+        How often (in delivered candidates) the memory accounting
+        samples the live-object counts.  Sampling keeps the overhead of
+        bookkeeping negligible for large traces.
+    """
+
+    def __init__(
+        self, engine: CorrelationEngine, ranker: Ranker, sample_interval: int = 256
+    ) -> None:
+        if sample_interval <= 0:
+            raise ValueError("sample_interval must be positive")
+        self.engine = engine
+        self.ranker = ranker
+        self.sample_interval = sample_interval
+        self.total_ingested = 0
+        self.peak_buffered = 0
+        self.peak_state = 0
+        self.processing_time = 0.0
+        self._processed = 0
+
+    def drain(self) -> List[CAG]:
+        """Deliver every candidate the ranker will give; return the CAGs
+        finished on the way, in finishing order."""
+        finished: List[CAG] = []
+        # Hoist the per-candidate lookups out of the loop: the loop body
+        # runs once per activity, so even attribute resolution shows up
+        # on the Fig. 9 benchmark.
+        rank = self.ranker.rank
+        process = self.engine.process
+        append = finished.append
+        sample_interval = self.sample_interval
+        processed = self._processed
+        # The loop runs only internal code and allocates no reference
+        # cycles (activities, CAGs and edges form an acyclic object graph
+        # that plain reference counting reclaims), so the cycle collector
+        # can only add full-heap scan pauses that grow with the trace.
+        # Pause it for the loop; user code between drains still runs with
+        # the collector in its original state.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        start = time.perf_counter()
+        try:
+            while True:
+                candidate = rank()
+                if candidate is None:
+                    break
+                cag = process(candidate)
+                if cag is not None:
+                    append(cag)
+                processed += 1
+                if not processed % sample_interval:
+                    self._sample()
+            self._after_drain()
+        finally:
+            self._processed = processed
+            if gc_was_enabled:
+                gc.enable()
+        self._sample()
+        self.processing_time += time.perf_counter() - start
+        return finished
+
+    def _after_drain(self) -> None:
+        """Hook run once the ranker stalls, still inside the timed section."""
+
+    def _sample(self) -> None:
+        self.peak_buffered = max(self.peak_buffered, self.ranker.buffered_count())
+        self.peak_state = max(self.peak_state, self.engine.pending_state_size())
+
+    def pending_state_size(self) -> int:
+        """Live bookkeeping entries: engine maps + ranker buffer."""
+        return self.engine.pending_state_size() + self.ranker.buffered_count()
+
+    def result(self) -> CorrelationResult:
+        """Aggregate accounting of everything drained so far.
+
+        ``incomplete_cags`` includes both the still-open CAGs and any
+        evicted ones, so batch and streaming accounting stay comparable.
+        """
+        engine = self.engine
+        return CorrelationResult(
+            cags=list(engine.finished_cags),
+            incomplete_cags=list(engine.open_cags) + engine.evicted_cags,
+            correlation_time=self.processing_time,
+            peak_buffered_activities=max(
+                self.peak_buffered, self.ranker.stats.max_buffered
+            ),
+            peak_state_entries=max(self.peak_state, engine.pending_state_size()),
+            ranker_stats=self.ranker.stats,
+            engine_stats=engine.stats,
+            window=self.ranker.window,
+            total_activities=self.total_ingested,
+            final_state_entries=self.pending_state_size(),
+            final_open_tombstones=engine.open_tombstone_count,
+        )
+
+
+class Correlator:
+    """Offline correlator over a flat activity collection.
+
+    :meth:`correlate` groups the activities by node, builds the batch
+    ranker over the complete per-node streams and drains it once through
+    the :class:`CorrelationDriver`.  The streaming counterpart
+    (:class:`repro.stream.StreamingCorrelator`) returns the same
+    :class:`CorrelationResult` type, so downstream analysis code never
+    needs to know which path produced it.
     """
 
     def __init__(
@@ -121,8 +234,7 @@ class Correlator:
             Sliding-time-window size in seconds (any positive value).
         sample_interval:
             How often (in delivered candidates) the memory accounting
-            samples the live-object counts.  Sampling keeps the overhead
-            of bookkeeping negligible for large traces.
+            samples the live-object counts (see :class:`CorrelationDriver`).
         sampling:
             Optional :class:`repro.sampling.SamplingSpec`: trace only a
             deterministic subset of the requests, decided at each causal
@@ -154,78 +266,16 @@ class Correlator:
             )
         return self.sampling.make_sampler(decisions)
 
-    # -- public API --------------------------------------------------------
-
     def correlate(self, activities: Iterable[Activity]) -> CorrelationResult:
         """Correlate a flat activity collection (any node order)."""
-        by_node: Dict[str, List[Activity]] = {}
+        streams: Dict[str, List[Activity]] = {}
         total = 0
         for activity in activities:
-            by_node.setdefault(activity.node_key, []).append(activity)
+            streams.setdefault(activity.node_key, []).append(activity)
             total += 1
-        return self.correlate_streams(by_node, total_activities=total)
-
-    def correlate_streams(
-        self,
-        streams: Dict[str, Sequence[Activity]],
-        total_activities: Optional[int] = None,
-    ) -> CorrelationResult:
-        """Correlate per-node streams (the natural shape of gathered logs)."""
-        if total_activities is None:
-            total_activities = sum(len(s) for s in streams.values())
-
         engine = CorrelationEngine(sampler=self._make_sampler(streams))
         ranker = Ranker(streams, mmap=engine.mmap, window=self.window)
-
-        peak_buffered = 0
-        peak_state = 0
-        processed = 0
-
-        # Hoist the two per-candidate method lookups out of the loop: the
-        # loop body runs once per activity, so even attribute resolution
-        # shows up on the Fig. 9 benchmark.
-        rank = ranker.rank
-        process = engine.process
-        sample_interval = self.sample_interval
-        until_sample = sample_interval
-        # The correlation loop runs only internal code and allocates no
-        # reference cycles (activities, CAGs and edges form an acyclic
-        # object graph that plain reference counting reclaims), so the
-        # cycle collector can only add full-heap scan pauses that grow
-        # with the trace.  Pause it for the duration of the loop.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        start = time.perf_counter()
-        try:
-            while True:
-                current = rank()
-                if current is None:
-                    break
-                process(current)
-                processed += 1
-                until_sample -= 1
-                if not until_sample:
-                    until_sample = sample_interval
-                    peak_buffered = max(peak_buffered, ranker.buffered_count())
-                    peak_state = max(peak_state, engine.pending_state_size())
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        elapsed = time.perf_counter() - start
-
-        peak_buffered = max(peak_buffered, ranker.stats.max_buffered)
-        peak_state = max(peak_state, engine.pending_state_size())
-
-        return CorrelationResult(
-            cags=list(engine.finished_cags),
-            incomplete_cags=list(engine.open_cags),
-            correlation_time=elapsed,
-            peak_buffered_activities=peak_buffered,
-            peak_state_entries=peak_state,
-            ranker_stats=ranker.stats,
-            engine_stats=engine.stats,
-            window=self.window,
-            total_activities=total_activities,
-            final_state_entries=engine.pending_state_size(),
-            final_open_tombstones=engine.open_tombstone_count,
-        )
+        driver = CorrelationDriver(engine, ranker, self.sample_interval)
+        driver.total_ingested = total
+        driver.drain()
+        return driver.result()

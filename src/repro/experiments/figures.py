@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..baselines.project5 import nesting_algorithm
@@ -21,6 +21,7 @@ from ..baselines.wap5 import Wap5Tracer
 from ..core.activity import Activity, sort_key
 from ..core.debugging import LatencyProfile
 from ..core.interning import ActivityTable
+from ..core.log_format import ActivityClassifier
 from ..services.faults import FaultConfig
 from ..services.noise import NoiseConfig
 from ..pipeline import (
@@ -948,6 +949,34 @@ def figure_interning(
 # Scale-out -- throughput vs shard count vs executor vs schedule
 # ---------------------------------------------------------------------------
 
+def _scaling_parts() -> List[List[Activity]]:
+    """Each composite part's activities, its hosts renamed
+    ``<scenario>-<host>`` (``replicated_lb`` and ``rubis`` both have a
+    ``db``: merged unrenamed, two machines would share one node)."""
+    from ..topology.library import run_scenario
+
+    parts: List[List[Activity]] = []
+    for scenario, seed, clients in (
+        ("fanout_aggregator", 11, 60),
+        ("replicated_lb", 7, 40),
+        ("five_tier_chain", 3, 50),
+        ("rubis", 6, 30),
+    ):
+        run = run_scenario(scenario, seed=seed, clients=clients)
+        classifier = ActivityClassifier(
+            frontends=[run.frontend_spec()],
+            ignore_programs=set(run.topology.ignore_programs),
+        )
+        prefix = f"{scenario}-"
+        parts.append(
+            classifier.classify_all(
+                replace(record, hostname=prefix + record.hostname)
+                for record in run.all_records()
+            )
+        )
+    return parts
+
+
 def _scaling_trace() -> ActivityTable:
     """A deliberately skewed composite trace for the scale-out figure.
 
@@ -963,17 +992,13 @@ def _scaling_trace() -> ActivityTable:
     runtime or the client counts merges or splinters components and
     destroys the pinned skew shape.
     """
-    from ..topology.library import run_scenario
-
-    parts = [
-        run_scenario("fanout_aggregator", seed=11, clients=60),
-        run_scenario("replicated_lb", seed=7, clients=40),
-        run_scenario("five_tier_chain", seed=3, clients=50),
-        run_scenario("rubis", seed=6, clients=30),
-    ]
     activities: List[Activity] = []
-    for part in parts:
-        activities.extend(part.activities())
+    seen: set = set()
+    for part in _scaling_parts():
+        hosts = {activity.context.hostname for activity in part}
+        assert seen.isdisjoint(hosts), f"composite parts share hosts {seen & hosts}"
+        seen |= hosts
+        activities.extend(part)
     activities.sort(key=sort_key)
     return ActivityTable.from_activities(activities)
 

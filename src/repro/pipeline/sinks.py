@@ -19,12 +19,12 @@ session (``session.artifacts``).
                          cross-run history behind ``repro query``
 =======================  ==================================================
 
-:class:`StoreSink` is also a *live* sink: it exposes ``on_cag`` and the
+:class:`StoreSink` is a *live* sink: it exposes ``on_cag`` and the
 pipeline feeds it every finished CAG as correlation produces it, so a
 streaming run commits request rows incrementally instead of holding the
-whole trace until the end.  Ingest is idempotent, so the final
-``write()`` pass (which also stamps run metadata) re-offering already
-stored CAGs is harmless.
+whole trace until the end.  ``on_cag`` is its only ingest path; the
+final ``write()`` stores nothing, it stamps the run metadata and marks
+the run finalized.
 """
 
 from __future__ import annotations
@@ -149,20 +149,14 @@ class StoreSink(Sink):
                 self._pending = 0
 
     def write(self, session) -> List[Path]:
+        """Finalize the run; its CAGs all arrived through :meth:`on_cag`."""
         store = self._ensure_open()
-        # Idempotent sweep: batch/sharded backends deliver everything
-        # here; for streaming this only catches CAGs on_cag missed.
-        store.ingest_cags(self._run_key, session.trace.cags)
-        sampling = session.backend.sampling
-        store.finalize_run(
+        store.finalize_trace(
             self._run_key,
+            session.trace,
             scenario=self.scenario,
             source=session.source.describe(),
-            backend=session.backend.describe(),
-            sampling=sampling.describe() if sampling is not None else None,
-            window_s=session.trace.correlation.window,
-            incomplete=len(session.trace.incomplete_cags),
-            correlation_time_s=session.trace.correlation_time,
+            backend=session.backend,
         )
         store.close()
         self._store = None

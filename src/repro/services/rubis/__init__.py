@@ -3,18 +3,11 @@
 Since the topology refactor the three tiers are interpreted from the
 ``rubis`` entry of the scenario library (:mod:`repro.topology.library`)
 by the generic tier engine (:mod:`repro.topology.engine`); this package
-keeps the catalogue, the configuration API and the historical import
-paths.
+keeps the catalogue and the configuration API.  The client emulators and
+the ground-truth recorder serve every scenario and live in
+:mod:`repro.topology.workload` and :mod:`repro.topology.groundtruth`.
 """
 
-from .client import (
-    BurstyEmulator,
-    ClientEmulator,
-    ClientMetrics,
-    CompletedRequest,
-    OpenLoopEmulator,
-    WorkloadStages,
-)
 from .deployment import (
     APP_IP,
     APP_PORT,
@@ -27,7 +20,6 @@ from .deployment import (
     WEB_PORT,
     run_rubis,
 )
-from .groundtruth import GroundTruthRecorder, RubisRequest
 from .requests import (
     BROWSE_ONLY_MIX,
     CATALOG,
@@ -45,27 +37,19 @@ __all__ = [
     "APP_IP",
     "APP_PORT",
     "BROWSE_ONLY_MIX",
-    "BurstyEmulator",
     "CATALOG",
-    "ClientEmulator",
-    "ClientMetrics",
-    "CompletedRequest",
     "DB_IP",
     "DB_PORT",
     "DEFAULT_MIX",
-    "GroundTruthRecorder",
-    "OpenLoopEmulator",
     "QuerySpec",
     "RequestType",
     "RubisConfig",
     "RubisDeployment",
-    "RubisRequest",
     "RubisRunResult",
     "VIEW_ITEM",
     "WEB_IP",
     "WEB_PORT",
     "WORKLOAD_MIXES",
-    "WorkloadStages",
     "expected_query_count",
     "expected_thread_holding_time",
     "mix_by_name",

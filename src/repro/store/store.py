@@ -35,8 +35,8 @@ Schema (version :data:`SCHEMA_VERSION`)
 Ingest is *incremental and idempotent*: each row carries a
 data-derived ``root_key`` (root timestamp + root context + root
 connection) under a UNIQUE constraint, so re-ingesting a request --
-a batch pass after a streaming pass, or a resumed streaming run
-re-emitting CAGs that finished between its last checkpoint and the
+a resumed streaming run re-offering the CAGs its checkpoint restored,
+or re-emitting CAGs that finished between its last checkpoint and the
 crash -- is a no-op instead of a duplicate.  That is the property that
 makes streaming-chunked, batch and post-resume ingest produce
 digest-identical stores (see :meth:`TraceStore.run_digest`).
@@ -50,7 +50,7 @@ import os
 import sqlite3
 import subprocess
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.cag import CAG
 from ..core.latency import breakdown_for_cag
@@ -380,6 +380,33 @@ class TraceStore:
         )
         self._conn.commit()
 
+    def finalize_trace(
+        self,
+        run_key: int,
+        trace,
+        *,
+        scenario: Optional[str] = None,
+        source: Optional[str] = None,
+        backend=None,
+    ) -> None:
+        """:meth:`finalize_run` stamped from a completed trace.
+
+        ``backend`` may be a :class:`~repro.pipeline.BackendSpec` (its
+        ``describe()`` string and sampling policy land in the run
+        metadata); the window and counters come from ``trace``.
+        """
+        sampling = getattr(backend, "sampling", None)
+        self.finalize_run(
+            run_key,
+            scenario=scenario,
+            source=source,
+            backend=backend.describe() if backend is not None else None,
+            sampling=sampling.describe() if sampling is not None else None,
+            window_s=trace.correlation.window,
+            incomplete=len(trace.incomplete_cags),
+            correlation_time_s=trace.correlation_time,
+        )
+
     # -- run access ----------------------------------------------------------
 
     def runs(self) -> List[Dict[str, object]]:
@@ -520,9 +547,8 @@ def record_trace(
 ) -> str:
     """One-shot ingest of a completed trace; returns the run id used.
 
-    ``store`` is a path or an open :class:`TraceStore`; ``backend`` may
-    be a :class:`~repro.pipeline.BackendSpec` (its ``describe()`` string
-    and knobs land in the run metadata).
+    ``store`` is a path or an open :class:`TraceStore`; ``backend`` is
+    passed on to :meth:`TraceStore.finalize_trace`.
     """
     own = not isinstance(store, TraceStore)
     target = TraceStore(store) if own else store
@@ -530,16 +556,8 @@ def record_trace(
         used_run_id = run_id or default_run_id()
         run_key = target.begin_run(used_run_id, scenario=scenario)
         target.ingest_cags(run_key, trace.cags)
-        sampling = getattr(backend, "sampling", None)
-        target.finalize_run(
-            run_key,
-            scenario=scenario,
-            source=source,
-            backend=backend.describe() if backend is not None else None,
-            sampling=sampling.describe() if sampling is not None else None,
-            window_s=trace.correlation.window,
-            incomplete=len(trace.incomplete_cags),
-            correlation_time_s=trace.correlation_time,
+        target.finalize_trace(
+            run_key, trace, scenario=scenario, source=source, backend=backend
         )
         return used_run_id
     finally:

@@ -45,21 +45,25 @@ batch :class:`~repro.core.correlator.Correlator`.
 
 from __future__ import annotations
 
-import gc
 import math
-import time
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from ..core.activity import Activity, sort_key
 from ..core.cag import CAG
-from ..core.correlator import CorrelationResult
+from ..core.correlator import CorrelationDriver, CorrelationResult
 from ..core.engine import CorrelationEngine
 from .checkpoint import load_checkpoint, save_checkpoint
 from .ranker import StreamingRanker
 
 
-class IncrementalEngine:
+class IncrementalEngine(CorrelationDriver):
     """Streaming wrapper around the correlation engine (push interface).
+
+    The rank -> process loop, the peak-state sampling and the result
+    assembly are the shared :class:`~repro.core.correlator.
+    CorrelationDriver`'s; this class adds what is streaming-specific:
+    chunked ingest, seal/flush and watermark eviction.  The whole object
+    pickles as a checkpoint (:mod:`repro.stream.checkpoint`).
 
     Parameters
     ----------
@@ -102,24 +106,18 @@ class IncrementalEngine:
             raise ValueError("window must be positive")
         if horizon is not None and horizon <= 0:
             raise ValueError("horizon must be positive (or None to disable)")
-        if sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
         self.window = window
         self.horizon = horizon
         self.sampling = sampling
         self.sampler = (
             sampling.make_sampler(sampling_decisions) if sampling is not None else None
         )
-        self.engine = CorrelationEngine(sampler=self.sampler)
-        self.ranker = StreamingRanker(
-            mmap=self.engine.mmap, window=window, skew_bound=skew_bound
+        engine = CorrelationEngine(sampler=self.sampler)
+        super().__init__(
+            engine,
+            StreamingRanker(mmap=engine.mmap, window=window, skew_bound=skew_bound),
+            sample_interval,
         )
-        self.sample_interval = sample_interval
-        self.total_ingested = 0
-        self.peak_buffered = 0
-        self.peak_state = 0
-        self.processing_time = 0.0
-        self._processed = 0
         self._flushed = False
         self._last_evict_watermark = -math.inf
 
@@ -146,81 +144,22 @@ class IncrementalEngine:
         if self._flushed:
             raise RuntimeError("cannot ingest after flush()")
         self.total_ingested += self.ranker.ingest(activities)
-        return self._drain()
+        return self.drain()
 
     def flush(self) -> List[CAG]:
         """End of stream: deliver everything still gated by the watermark."""
         self.ranker.seal()
-        finished = self._drain()
+        finished = self.drain()
         self._flushed = True
         return finished
-
-    def pending_state_size(self) -> int:
-        """Live bookkeeping entries: engine maps + ranker buffer."""
-        return self.engine.pending_state_size() + self.ranker.buffered_count()
 
     def watermark(self) -> float:
         """Current delivery watermark (local-time ceiling), -inf initially."""
         return self.ranker.watermark
 
-    def result(self) -> CorrelationResult:
-        """Aggregate accounting, same shape as the batch correlator's.
-
-        ``incomplete_cags`` includes both the still-open CAGs and any
-        evicted ones, so batch and streaming accounting stay comparable.
-        """
-        return CorrelationResult(
-            cags=list(self.engine.finished_cags),
-            incomplete_cags=list(self.engine.open_cags) + self.engine.evicted_cags,
-            correlation_time=self.processing_time,
-            peak_buffered_activities=max(
-                self.peak_buffered, self.ranker.stats.max_buffered
-            ),
-            peak_state_entries=max(self.peak_state, self.engine.pending_state_size()),
-            ranker_stats=self.ranker.stats,
-            engine_stats=self.engine.stats,
-            window=self.window,
-            total_activities=self.total_ingested,
-            final_state_entries=self.pending_state_size(),
-            final_open_tombstones=self.engine.open_tombstone_count,
-        )
-
     # -- internals ----------------------------------------------------------
 
-    def _drain(self) -> List[CAG]:
-        finished: List[CAG] = []
-        # Same per-candidate hoisting as the batch correlator: the drain
-        # loop is the streaming hot path.
-        rank = self.ranker.rank
-        process = self.engine.process
-        sample_interval = self.sample_interval
-        # Same rationale as the batch correlator: the drain loop is
-        # internal-only and cycle-free, so the cycle collector's
-        # full-heap scans are pure overhead here.  User code between
-        # chunks still runs with the collector in its original state.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        start = time.perf_counter()
-        try:
-            while True:
-                candidate = rank()
-                if candidate is None:
-                    break
-                cag = process(candidate)
-                if cag is not None:
-                    finished.append(cag)
-                self._processed += 1
-                if self._processed % sample_interval == 0:
-                    self._sample()
-            self._maybe_evict()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        self._sample()
-        self.processing_time += time.perf_counter() - start
-        return finished
-
-    def _maybe_evict(self) -> None:
+    def _after_drain(self) -> None:
         """Run watermark eviction when it can pay for itself.
 
         Eviction scans the live state, so running it on every chunk would
@@ -240,10 +179,6 @@ class IncrementalEngine:
             return
         self._last_evict_watermark = watermark
         self.engine.evict_stale(watermark - self.horizon)
-
-    def _sample(self) -> None:
-        self.peak_buffered = max(self.peak_buffered, self.ranker.buffered_count())
-        self.peak_state = max(self.peak_state, self.engine.pending_state_size())
 
 
 class StreamingCorrelator:
@@ -270,12 +205,16 @@ class StreamingCorrelator:
     Composing with a persistent :class:`~repro.store.TraceStore` (the
     ``on_cag`` hook of :class:`~repro.pipeline.StoreSink`): CAGs are
     offered to the store as they finish, i.e. at chunk boundaries, so a
-    long-running ingest commits request rows incrementally.  After a
-    crash-and-resume, CAGs that finished *between* the last checkpoint
-    and the crash are re-emitted by the resumed run; store ingest is
-    keyed by the request's data-derived root identity and is therefore
-    idempotent, so the combined store is identical to one written by an
-    uninterrupted run (see :meth:`repro.store.TraceStore.run_digest`).
+    long-running ingest commits request rows incrementally.
+    :meth:`correlate_iter` yields every finished CAG exactly once per
+    process: a resumed run first yields the CAGs restored from the
+    checkpoint (the crashed process may not have committed them), then
+    the ones it finishes itself -- including those that finished
+    *between* the last checkpoint and the crash, re-emitted.  Store
+    ingest is keyed by the request's data-derived root identity and is
+    therefore idempotent, so the combined store is identical to one
+    written by an uninterrupted run (see
+    :meth:`repro.store.TraceStore.run_digest`).
     """
 
     def __init__(
@@ -343,7 +282,8 @@ class StreamingCorrelator:
     ) -> Iterator[CAG]:
         """Yield finished CAGs as the stream is consumed.
 
-        The engine driven here is left on :attr:`last_engine`; read
+        On resume the CAGs the checkpoint restored come first.  The
+        engine driven here is left on :attr:`last_engine`; read
         ``last_engine.result()`` after the iterator is exhausted (or pass
         your own ``engine``, which disables ``resume_from`` handling).
         """
@@ -355,6 +295,8 @@ class StreamingCorrelator:
             else:
                 engine = self.make_engine(self._decisions_for(ordered))
         self.last_engine = engine
+        if skip:
+            yield from engine.engine.finished_cags
         every = self.checkpoint_every
         # Cadence in *ingested activities*, written at chunk boundaries:
         # the next threshold is the first multiple of ``every`` past what

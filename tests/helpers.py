@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.accuracy import GroundTruthRequest
 from repro.core.activity import Activity, ActivityType, ContextId, MessageId
-from repro.services.rubis.client import WorkloadStages
+from repro.topology.workload import WorkloadStages
 from repro.services.rubis.deployment import RubisConfig
 
 #: Stage durations shared by the fast integration fixtures.

@@ -37,12 +37,12 @@ class TestCorrelatorBasics:
         assert result.completed_requests == 6
         assert not result.incomplete_cags
 
-    def test_correlate_streams_matches_flat_input(self):
-        trace = build_trace(requests=4)
-        flat = Correlator(window=0.01).correlate(trace.activities)
-        streamed = Correlator(window=0.01).correlate_streams(trace.by_node())
-        assert flat.completed_requests == streamed.completed_requests
-        assert flat.total_activities == streamed.total_activities
+    def test_node_grouped_input_matches_flat_input(self):
+        flat = Correlator(window=0.01).correlate(build_trace(requests=4).activities)
+        streams = build_trace(requests=4).by_node().values()
+        grouped = Correlator(window=0.01).correlate([a for stream in streams for a in stream])
+        assert flat.completed_requests == grouped.completed_requests
+        assert flat.total_activities == grouped.total_activities
 
     def test_result_summary_keys(self):
         trace = build_trace(requests=2)

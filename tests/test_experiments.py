@@ -16,7 +16,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.report import format_value, render_report, render_table, write_report
 from repro.experiments.runner import RunCache, config_key, get_run
-from repro.services.rubis.client import WorkloadStages
+from repro.topology.workload import WorkloadStages
 from repro.services.rubis.deployment import RubisConfig
 
 

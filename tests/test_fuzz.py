@@ -12,8 +12,6 @@ drawn from the generator finds all three.
 
 import json
 
-import pytest
-
 from repro.core import patterns as patterns_mod
 from repro.core.activity import ActivityType
 from repro.core.cag import CONTEXT_EDGE
@@ -158,13 +156,13 @@ class TestFuzzSweepReportsFailures(object):
         assert f"seed {PURGE_SEED} FAILED" in report.describe()
 
 
-#: First *open* finding of the harness (2026-08): on a connection
-#: reused across pipelined requests, oversized-RECEIVE byte matching is
+#: Third finding of the harness (2026-08), since fixed: on a connection
+#: reused across pipelined requests, oversized-RECEIVE byte matching was
 #: sensitive to candidate delivery order, and the delivery order of a
 #: causally-closed component correlated in isolation legitimately
 #: differs from the whole-trace run restricted to that component -- so
-#: the sharded backend's digest can diverge from batch/streaming (which
-#: agree).  Seeds 90 and 119 hit it in the first 150; the shrunk
+#: the sharded backend's digest diverged from batch/streaming (which
+#: agreed).  Seeds 90 and 119 hit it in the first 150; the shrunk
 #: envelope below reproduces seed 119 in well under a second.
 ORDER_SENSITIVE_SEED = 119
 ORDER_SENSITIVE_LIMITS = DEFAULT_LIMITS.with_overrides(

@@ -5,13 +5,13 @@ import pytest
 
 from repro.services.faults import DatabaseLockFault, EjbDelayFault, EjbNetworkFault, FaultConfig
 from repro.services.noise import NoiseConfig
-from repro.services.rubis.client import ClientMetrics, CompletedRequest, WorkloadStages
-from repro.services.rubis.groundtruth import GroundTruthRecorder
 from repro.services.rubis.requests import VIEW_ITEM
 from repro.sim.network import NetworkFabric
 from repro.sim.kernel import Environment
 from repro.sim.node import ExecutionEntity, Node
 from repro.sim.randomness import RandomStreams
+from repro.topology.groundtruth import GroundTruthRecorder
+from repro.topology.workload import ClientMetrics, CompletedRequest, WorkloadStages
 
 
 class TestWorkloadStages:

@@ -25,6 +25,7 @@ import pytest
 
 from repro.core.correlator import Correlator
 from repro.core.interning import ActivityTable
+from repro.experiments.figures import _scaling_parts, _scaling_trace
 from repro.pipeline import (
     BackendSpec,
     ranked_latency_report,
@@ -283,3 +284,22 @@ class TestSchedulesMatchBatch:
             BackendSpec.sharded(schedule="round-robin")
         with pytest.raises(ValueError):
             ShardedCorrelator(schedule="round-robin")
+
+
+# ---------------------------------------------------------------------------
+# The scale-out figure's composite trace
+# ---------------------------------------------------------------------------
+
+
+class TestScalingComposite:
+    def test_parts_have_disjoint_hosts(self):
+        # replicated_lb and rubis both run a host named "db"; merged
+        # unrenamed, two machines would share one node.
+        hosts = [{a.context.hostname for a in part} for part in _scaling_parts()]
+        assert sum(map(len, hosts)) == len(set().union(*hosts))
+
+    def test_batch_digest_equals_sharded_digest(self):
+        table = _scaling_trace()
+        batch = result_digest(Correlator(window=0.010).correlate(table.iter_fresh()))
+        sharded = ShardedCorrelator(window=0.010, max_shards=4, schedule="stealing")
+        assert result_digest(sharded.correlate(table.iter_fresh())) == batch

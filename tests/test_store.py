@@ -11,12 +11,16 @@ schema-version mismatches are refused instead of misread.
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from repro.core.patterns import PatternClassifier, cag_signature
-from repro.pipeline import BackendSpec, Pipeline, RunSource, StoreSink
+from repro.pipeline import BACKEND_KINDS, BackendSpec, Pipeline, RunSource, StoreSink
 from repro.store import (
     SCHEMA_VERSION,
     TraceStore,
@@ -182,6 +186,92 @@ class TestIncrementalEqualsBatch:
         # Only logged fields: no Activity.seq, no interned per-process ints.
         assert cag.root.timestamp.hex() in key
         assert str(cag.root.context.as_tuple()) in key
+
+
+class TestSingleIngestPath:
+    """``StoreSink.on_cag`` is the only ingest: every finished CAG reaches
+    the store exactly once per process, whatever the backend."""
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_one_ingest_call_per_finished_cag(self, kind, tmp_path, store_sources, monkeypatch):
+        ingested = []
+        original = TraceStore.ingest_cag
+
+        def counting(store, run_key, cag):
+            ingested.append(cag_root_key(cag))
+            return original(store, run_key, cag)
+
+        monkeypatch.setattr(TraceStore, "ingest_cag", counting)
+        path = tmp_path / "s.sqlite"
+        session = Pipeline(
+            source=store_sources["cache_aside"],
+            backend=BackendSpec(kind=kind),
+            sinks=[StoreSink(path, run_id="r")],
+        ).run()
+        assert session.trace.cags
+        assert sorted(ingested) == sorted(cag_root_key(c) for c in session.trace.cags)
+        with TraceStore.open(path) as store:
+            assert store.run_row("r")["requests"] == len(session.trace.cags)
+
+    def test_crash_after_checkpoint_then_resume_matches_batch(self, tmp_path, store_sources):
+        """A process dies after a checkpoint, before its store sink ever
+        committed; the resumed run (same run id) must still store every
+        request -- the ones its checkpoint restored included."""
+        path = tmp_path / "s.sqlite"
+        ckpt = tmp_path / "run.ckpt"
+        source = store_sources["cache_aside"]
+        every = len(source.activities()) // 2
+        script = textwrap.dedent(
+            f"""
+            import os, sys
+            from repro.pipeline import BackendSpec, Pipeline, RunSource, StoreSink
+            from repro.topology.library import ScenarioConfig
+            from repro.topology.workload import WorkloadStages
+
+            resume = sys.argv[1] == "resume"
+            source = RunSource(config=ScenarioConfig(
+                scenario="cache_aside", stages={STORE_STAGES!r},
+                seed={STORE_SEED},
+            ))
+            knobs = (
+                dict(resume_from={str(ckpt)!r}) if resume
+                else dict(checkpoint_path={str(ckpt)!r}, checkpoint_every={every})
+            )
+            sink = StoreSink({str(path)!r}, run_id="live", commit_every=10**9)
+
+            def crash_after_checkpoint(cag):
+                if not resume and os.path.exists({str(ckpt)!r}):
+                    os._exit(3)
+
+            Pipeline(
+                source=source,
+                backend=BackendSpec.streaming(chunk_size=64, **knobs),
+                sinks=[sink],
+            ).run(on_cag=crash_after_checkpoint)
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+        def run(mode):
+            return subprocess.run(
+                [sys.executable, "-c", script, mode],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+
+        crashed = run("crash")
+        assert crashed.returncode == 3, crashed.stderr
+        with TraceStore.open(path) as store:
+            assert store.run_ids() == []  # nothing was committed
+        resumed = run("resume")
+        assert resumed.returncode == 0, resumed.stderr
+
+        record_trace(path, BackendSpec.batch().trace(source.activities()), run_id="batch")
+        with TraceStore.open(path) as store:
+            assert store.run_digest("live") == store.run_digest("batch")
+            assert store.run_row("live")["requests"] == store.run_row("batch")["requests"]
 
 
 class TestQueries:
