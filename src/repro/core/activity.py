@@ -235,6 +235,52 @@ class Activity:
         self.priority = int(self.type)
         self.send_like = self.type is ActivityType.SEND or self.type is ActivityType.END
 
+    def template(self) -> "ActivityTemplate":
+        """Everything but the per-line fields, for :meth:`from_template`."""
+        return (
+            self.type,
+            self.context,
+            self.message.connection_key(),
+            self.context_key,
+            self.message_key,
+            self.node_key,
+            self.priority,
+            self.send_like,
+        )
+
+    @classmethod
+    def from_template(
+        cls,
+        template: "ActivityTemplate",
+        timestamp: float,
+        size: int,
+        request_id: Optional[int],
+    ) -> "Activity":
+        """A new activity sharing ``template``'s type, context, connection
+        and interned keys, with its own timestamp, size and request id.
+
+        The template comes from :meth:`template` of an activity that went
+        through ``__post_init__``, so the keys are exactly what it would
+        derive; skipping the derivation (tuple builds, interner probes) is
+        what makes repeated log lines cheap to classify.  ``seq`` is drawn
+        here, so call order is sequence order, as with the constructor.
+        """
+        kind, context, connection, ckey, mkey, nkey, priority, send_like = template
+        activity = _new_activity(cls)
+        activity.type = kind
+        activity.timestamp = timestamp
+        activity.context = context
+        activity.message = MessageId(*connection, size)
+        activity.request_id = request_id
+        activity.seq = next(_activity_counter)
+        activity.size = size
+        activity.context_key = ckey
+        activity.message_key = mkey
+        activity.node_key = nkey
+        activity.priority = priority
+        activity.send_like = send_like
+        return activity
+
     # -- identity helpers -------------------------------------------------
 
     @property
@@ -276,6 +322,14 @@ class Activity:
 #: with :func:`operator.attrgetter` so per-node sorting (the paper's step
 #: 1, run over every activity) extracts the key tuple in C.
 sort_key = operator.attrgetter("timestamp", "priority", "seq")
+
+#: What :meth:`Activity.template` captures: type, context, connection
+#: 4-tuple, the three interned keys, priority and ``send_like``.
+ActivityTemplate = Tuple[
+    ActivityType, ContextId, Tuple[str, int, str, int], int, int, int, int, bool
+]
+
+_new_activity = object.__new__
 
 
 # Interned-key plumbing, imported at the bottom to break the module

@@ -45,8 +45,15 @@ class GrowingSource(ActivitySource):
     clock order -- the natural order of a node's own log file.  Mildly
     out-of-order arrivals are tolerated by insorting into the unconsumed
     region; an activity older than something already fetched is appended
-    at the consumption point (it cannot be sequenced earlier any more).
+    at the consumption point (it cannot be sequenced earlier any more) and
+    counted in :attr:`late`.
     """
+
+    #: Activities that arrived older than one already fetched.  Class-level
+    #: defaults, so sources restored from older checkpoints start at zero.
+    late = 0
+    #: Sort key of the newest activity fetched so far (None before any).
+    _fetched_high: Optional[tuple] = None
 
     def __init__(self, node, registry: Optional[Counter] = None) -> None:
         super().__init__(node, [], registry=registry)
@@ -64,9 +71,12 @@ class GrowingSource(ActivitySource):
         registry = self._registry
         ts_column = self._ts
         send_keys = self._send_keys
+        fetched_high = self._fetched_high
         for activity in sorted(activities, key=sort_key):
             key = sort_key(activity)
             send_key = activity.message_key if activity.send_like else None
+            if fetched_high is not None and key < fetched_high:
+                self.late += 1
             if not self._sort_keys or key >= self._sort_keys[-1]:
                 self._activities.append(activity)
                 self._sort_keys.append(key)
@@ -98,6 +108,11 @@ class GrowingSource(ActivitySource):
         """Release already-fetched activities (unlike the batch source,
         which keeps its whole list, a stream must stay bounded)."""
         if self._position:
+            # The consumed region is sorted apart from late arrivals, which
+            # sit at its front and sort below the previous high mark.
+            newest = self._sort_keys[self._position - 1]
+            if self._fetched_high is None or newest > self._fetched_high:
+                self._fetched_high = newest
             del self._activities[: self._position]
             del self._sort_keys[: self._position]
             del self._ts[: self._position]
@@ -180,6 +195,12 @@ class StreamingRanker(Ranker):
     @property
     def sealed(self) -> bool:
         return self._sealed
+
+    @property
+    def late_activities(self) -> int:
+        """Activities ingested older than one their node already fetched
+        (sequenced at the consumption point instead of in clock order)."""
+        return sum(source.late for source in self._sources.values())
 
     @property
     def watermark(self) -> float:

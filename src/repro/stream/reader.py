@@ -12,7 +12,8 @@ the ingestion side of that pipeline:
   boundaries (``tail -f`` semantics, without inotify dependencies);
 * :class:`ActivityStream` -- the shared raw-line -> typed-activity step
   (parse + BEGIN/END classification + attribute noise filter), built on
-  :class:`repro.core.log_format.ActivityClassifier`.
+  :class:`repro.core.log_format.ActivityClassifier` and memoised per
+  distinct (context, direction, channel).
 
 Every source yields lists of :class:`~repro.core.activity.Activity` ready
 to be pushed into :class:`repro.stream.IncrementalEngine.ingest`.
@@ -21,9 +22,9 @@ to be pushed into :class:`repro.stream.IncrementalEngine.ingest`.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, List, Optional, Sequence, TypeVar
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TypeVar
 
-from ..core.activity import Activity
+from ..core.activity import Activity, ActivityTemplate
 from ..core.log_format import (
     ActivityClassifier,
     FrontendSpec,
@@ -52,9 +53,20 @@ def iter_chunks(items: Iterable[T], chunk_size: int) -> Iterator[List[T]]:
 class ActivityStream:
     """Convert raw TCP_TRACE lines into typed activities, incrementally.
 
-    A thin stateful wrapper over :class:`ActivityClassifier` that also
+    A stateful wrapper over :class:`ActivityClassifier` that also
     tolerates malformed lines (counted, not fatal -- a live log being
     written while we read it can always hand us a torn or corrupt line).
+
+    Every line of one context on one connection direction repeats the
+    same six middle fields, so the stream memoises their classification:
+    the *template key* is the line text between the timestamp and the
+    size, ``#rid=`` suffix removed.  A miss runs :func:`parse_record` and
+    :meth:`ActivityClassifier.classify` unchanged and, if the line is in
+    canonical single-space form, stores the outcome (filtered, or the
+    activity's :meth:`~repro.core.activity.Activity.template`).  A hit
+    parses only the timestamp, the size and the request id.  The memo is
+    only valid for this stream's classifier, whose configuration is
+    frozen at construction and not exposed.
     """
 
     def __init__(
@@ -64,35 +76,86 @@ class ActivityStream:
         ignore_ports: Optional[set] = None,
         ignore_ips: Optional[set] = None,
     ) -> None:
-        self.classifier = ActivityClassifier(
-            frontends=list(frontends),
-            ignore_programs=set(ignore_programs or ()),
-            ignore_ports=set(ignore_ports or ()),
-            ignore_ips=set(ignore_ips or ()),
+        self._classifier = ActivityClassifier(
+            frontends=tuple(frontends),
+            ignore_programs=frozenset(ignore_programs or ()),
+            ignore_ports=frozenset(ignore_ports or ()),
+            ignore_ips=frozenset(ignore_ips or ()),
         )
+        # template key -> ActivityTemplate, or None for a filtered record
+        self._templates: Dict[str, Optional[ActivityTemplate]] = {}
         self.malformed_lines = 0
 
     @property
     def filtered_records(self) -> int:
         """Records dropped by the attribute-based noise filter."""
-        return self.classifier.filtered_count
+        return self._classifier.filtered_count
+
+    @property
+    def memo_size(self) -> int:
+        """Distinct template keys memoised so far."""
+        return len(self._templates)
 
     def classify_lines(self, lines: Iterable[str]) -> List[Activity]:
         """Parse and classify a batch of lines into activities."""
         activities: List[Activity] = []
+        append = activities.append
+        templates = self._templates
+        from_template = Activity.from_template
+        classifier = self._classifier
         for line in lines:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            text = line.strip()
+            if not text or text[0] == "#":
                 continue
+            body = text
+            rid_text = None
+            if " #rid=" in body:
+                body, _, rid_text = body.rpartition(" #rid=")
+            ts_text, _, rest = body.partition(" ")
+            key, _, size_text = rest.rpartition(" ")
+            template = templates.get(key, _MISS)
+            if template is _MISS:
+                activity = self._classify_miss(text, body, key)
+                if activity is not None:
+                    append(activity)
+                continue
+            # A hit: ``key`` is exactly fields 1-6, so ``ts_text`` and
+            # ``size_text`` hold what parse_record reads as fields 0 and
+            # 7.  Whitespace around them is stripped by float/int as by
+            # split(); whitespace inside makes float/int fail, just as it
+            # makes parse_record count the wrong number of fields.
             try:
-                record = parse_record(stripped)
-            except LogFormatError:
+                timestamp = float(ts_text)
+                size = int(size_text)
+                request_id = None if rid_text is None else int(rid_text)
+            except ValueError:
                 self.malformed_lines += 1
                 continue
-            activity = self.classifier.classify(record)
-            if activity is not None:
-                activities.append(activity)
+            if size < 0:
+                self.malformed_lines += 1
+            elif template is None:
+                classifier.filtered_count += 1
+            else:
+                append(from_template(template, timestamp, size, request_id))
         return activities
+
+    def _classify_miss(self, text: str, body: str, key: str) -> Optional[Activity]:
+        """Full parse + classify; memoise the outcome under a canonical key."""
+        try:
+            record = parse_record(text)
+        except LogFormatError:
+            self.malformed_lines += 1
+            return None
+        activity = self._classifier.classify(record)
+        # Only a single-spaced line is memoised: then ``key`` is exactly
+        # fields 1-6, so every later hit on it shares those fields.
+        if body == " ".join(body.split()):
+            self._templates[key] = None if activity is None else activity.template()
+        return activity
+
+
+#: Marks a template-key miss (``None`` is a memoised filtered record).
+_MISS = object()
 
 
 class IteratorSource:

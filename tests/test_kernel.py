@@ -29,10 +29,6 @@ import repro.core.kernel as kernel
 from repro.core.kernel import (
     BLOCKED,
     DISCARD,
-    EMPTY,
-    RULE1,
-    RULE2,
-    STALL,
     KernelUnavailableError,
     kernel_info,
     kernel_provenance,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import Environment, Event, Resource, SimulationError, Store
+from repro.sim.kernel import Environment, Resource, SimulationError, Store
 
 
 class TestEnvironment:

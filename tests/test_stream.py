@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import SyntheticTrace
-from repro.core.activity import ActivityType, sort_key
+from repro.core.activity import Activity, ActivityType, ContextId, MessageId, sort_key
 from repro.core.correlator import Correlator
 from repro.core.engine import CorrelationEngine
 from repro.core.index_maps import ContextMap, MessageMap
@@ -27,6 +27,7 @@ from repro.stream import (
     IteratorSource,
     ShardedCorrelator,
     StreamingCorrelator,
+    StreamingRanker,
     iter_chunks,
     merge_engine_stats,
     merge_ranker_stats,
@@ -402,6 +403,49 @@ class TestSharding:
             average_breakdown(first.cags).percentages()
             == average_breakdown(second.cags).percentages()
         )
+
+
+# ---------------------------------------------------------------------------
+# late arrivals
+# ---------------------------------------------------------------------------
+
+
+def node_send(timestamp, host="web"):
+    return Activity(
+        type=ActivityType.SEND,
+        timestamp=timestamp,
+        context=ContextId(host, "httpd", 1, 1),
+        message=MessageId("10.0.0.1", 4000, "10.0.0.2", 8080, 10),
+    )
+
+
+class TestLateActivities:
+    def test_activity_older_than_a_fetch_is_counted(self):
+        ranker = StreamingRanker(MessageMap(), window=0.010, skew_bound=0.0)
+        ranker.ingest([node_send(1.0), node_send(2.0), node_send(3.0)])
+        first = ranker.rank()
+        assert first is not None and first.timestamp == 1.0
+        assert ranker.late_activities == 0
+
+        ranker.ingest([node_send(2.5)])  # after the fetch, not behind it
+        assert ranker.late_activities == 0
+        ranker.ingest([node_send(0.5)])  # older than the fetched 1.0
+        assert ranker.late_activities == 1
+
+        ranker.seal()
+        rest = [ranker.rank() for _ in range(4)]
+        # Sequenced at the consumption point, not in clock order.
+        assert [activity.timestamp for activity in rest] == [0.5, 2.0, 2.5, 3.0]
+        assert ranker.rank() is None
+
+    def test_late_counts_sum_over_nodes(self):
+        ranker = StreamingRanker(MessageMap(), window=0.010, skew_bound=0.0)
+        ranker.ingest([node_send(1.0, "web"), node_send(1.0, "app")])
+        ranker.ingest([node_send(5.0, "web"), node_send(5.0, "app")])
+        ranker.rank()
+        ranker.rank()
+        ranker.ingest([node_send(0.5, "web"), node_send(0.7, "app")])
+        assert ranker.late_activities == 2
 
 
 # ---------------------------------------------------------------------------
